@@ -26,12 +26,13 @@ for it:
 
 3. **>= 1.5x additional throughput** over the per-input compiled path,
    on both ISAs, measured as best-of-N wall clock of
-   ``Contract.collect_traces_battery`` on pass-optimized IR over the
-   identical grid;
+   ``Contract.collect_traces_battery`` on dead-flag-eliminated IR (what
+   the pipeline runs) over the identical grid;
 4. **byte-identical results** again: the battery's (trace, log) pairs
    entry-for-entry against the per-input compiled results, and
-   end-to-end fuzzing reports with ``FuzzerConfig.battery_eval``
-   flipped (the x86-64 budget includes the confirmed V1 violation).
+   end-to-end fuzzing reports against the per-input referee (the
+   battery forced to decline, so every collection takes the per-input
+   loop; the x86-64 budget includes the confirmed V1 violation).
 
 The JSON section (``emulation_throughput``) is schema- and value-gated
 by ``tools/check_bench_json.py``: the ratios must hold (>= 2.0
@@ -43,14 +44,15 @@ an artifact.
 import time
 from dataclasses import replace
 
-from repro.analysis.passes import default_pipeline
+from repro.analysis.deadflags import eliminate_dead_flags
 from repro.arch import get_architecture
-from repro.contracts import get_contract
+from repro.contracts import Contract, get_contract
 from repro.core.config import FuzzerConfig, GeneratorConfig
 from repro.core.fuzzer import Fuzzer
 from repro.core.generator import TestCaseGenerator
 from repro.core.input_gen import InputGenerator
 from repro.core.trace_cache import program_fingerprint
+from repro.emulator.battery import BatteryFallback
 from repro.emulator.compiled import compile_program
 from repro.emulator.state import SandboxLayout
 from repro.executor.executor import Executor, ExecutorConfig
@@ -169,7 +171,11 @@ def _report_digest(report, arch_name):
     )
 
 
-def test_compiled_emulation_throughput():
+def _decline(*_args, **_kwargs):
+    raise BatteryFallback("per-input referee")
+
+
+def test_compiled_emulation_throughput(monkeypatch):
     """>= 2x contract-trace throughput (compiled vs. interpretive) and
     >= 1.5x on top of that (battery vs. per-input compiled), with
     byte-identical traces and reports, on both ISA backends."""
@@ -191,11 +197,10 @@ def test_compiled_emulation_throughput():
             id(program): compile_program(program, arch)
             for program in programs
         }
-        # the battery runs on pass-optimized IR, as the fuzzer pipeline
-        # does in production (dead-flag elimination + masked-access
-        # fusion — both byte-identical by the pass-pipeline contract)
+        # the battery runs on dead-flag-eliminated IR, as the fuzzer
+        # pipeline does (byte-identical by the pass's soundness proof)
         optimized_map = {
-            key: default_pipeline().run(compiled).program
+            key: eliminate_dead_flags(compiled).program
             for key, compiled in compiled_map.items()
         }
 
@@ -237,10 +242,10 @@ def test_compiled_emulation_throughput():
         )
         traces_equal = traces_equal and contract_equal and hardware_equal
 
-        # end-to-end reports: neither config knob may move a byte.
-        # report_on runs the production default (compiled + battery);
-        # compile_programs=False is the interpretive referee and
-        # battery_eval=False the per-input compiled one.
+        # end-to-end reports: neither referee may move a byte.
+        # report_on runs the production engine (compiled + battery);
+        # compile_programs=False is the interpretive referee, and a
+        # battery that always declines leaves the per-input compiled one.
         budget = REPORT_BUDGETS[arch_name]
         base = FuzzerConfig(arch=arch_name, **budget)
         report_on = Fuzzer(replace(base, compile_programs=True)).run()
@@ -250,7 +255,9 @@ def test_compiled_emulation_throughput():
             report_off, arch_name
         )
         reports_equal = reports_equal and arch_reports_equal
-        report_no_battery = Fuzzer(replace(base, battery_eval=False)).run()
+        with monkeypatch.context() as patch:
+            patch.setattr(Contract, "collect_traces_battery", _decline)
+            report_no_battery = Fuzzer(base).run()
         arch_battery_reports_equal = digest_on == _report_digest(
             report_no_battery, arch_name
         )
@@ -328,7 +335,7 @@ def test_compiled_emulation_throughput():
         "FuzzerConfig.compile_programs changed a fuzzing report"
     )
     assert battery_reports_equal, (
-        "FuzzerConfig.battery_eval changed a fuzzing report"
+        "the per-input referee changed a fuzzing report"
     )
     assert min_ratio >= 2.0, (
         f"compile-once IR must be >= 2x on contract traces, got "

@@ -72,28 +72,6 @@ def _axis_list(text: str) -> List[str]:
     return values
 
 
-def add_engine_knob_options(parser: argparse.ArgumentParser) -> None:
-    """The byte-identity-preserving engine knobs, shared by all five
-    fuzzing subcommands (fuzz/campaign/sweep/minimize/replay)."""
-    parser.add_argument("--no-battery-eval", action="store_true",
-                        help="collect contract traces input by input "
-                        "instead of battery-batched (repro.emulator."
-                        "battery); traces, verdicts and reports are "
-                        "byte-identical either way")
-    parser.add_argument("--no-masked-fusion", action="store_true",
-                        help="disable the masked-access fusion pass over "
-                        "compiled programs (repro.analysis.fusion); traces, "
-                        "verdicts and reports are byte-identical either way")
-    parser.add_argument("--no-dead-flags", action="store_true",
-                        help="disable the dead-flag elimination pass "
-                        "(repro.analysis.dead_flags); traces, verdicts and "
-                        "reports are byte-identical either way")
-    parser.add_argument("--interpretive", action="store_true",
-                        help="run the interpretive emulator instead of the "
-                        "compile-once IR; traces, verdicts and reports are "
-                        "byte-identical either way")
-
-
 def add_engine_options(
     parser: argparse.ArgumentParser,
     axes: bool = False,
@@ -158,7 +136,6 @@ def add_engine_options(
     parser.add_argument("--seed", type=int, default=0,
                         help="base PRNG seed"
                         + (" the per-cell seeds derive from" if axes else ""))
-    add_engine_knob_options(parser)
     parser.add_argument("--cache", action="store_true",
                         help="memoize contract traces across collections")
     parser.add_argument("--cache-entries", type=_positive_int, default=65536,
@@ -381,15 +358,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(line)
 
     print(f"replaying corpus {args.corpus} ...")
-    report = api.run_replay(
-        args.corpus,
-        arch=args.arch,
-        battery_eval=not args.no_battery_eval,
-        masked_fusion=not args.no_masked_fusion,
-        dead_flags=not args.no_dead_flags,
-        compile_programs=not args.interpretive,
-        progress=progress,
-    )
+    report = api.run_replay(args.corpus, arch=args.arch, progress=progress)
     print(report.summary())
     if args.json:
         import json as _json
@@ -624,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arch", default=None, choices=architecture_names(),
         help="replay only the records targeting this ISA backend",
     )
-    add_engine_knob_options(replay_parser)
     replay_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the corpus_replay report section as JSON "

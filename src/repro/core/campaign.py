@@ -30,8 +30,9 @@ pickled reports.
   first confirmed violation instead of draining the full budget: a
   shared cancel event is polled by every shard between measurement
   batches (at most one diversity round of test cases apart; every test
-  case when ``batch_measurements`` is off), and the runner sets it as
-  soon as a finished shard reports a violation. Shards that completed
+  case when a timeout or a noise model forces per-case measurement),
+  and the runner sets it as soon as a finished shard reports a
+  violation. Shards that completed
   before the signal produce exactly the reports they would in
   ``mode="full"`` (deterministic merging for completed shards);
   cancelled shards return partial reports flagged ``cancelled``. How far an interrupted shard got depends on

@@ -91,33 +91,17 @@ class FuzzerConfig:
     nesting_depth_for_revalidation: int = 3
     speculation_window: int = 250
 
-    # execution engines
-    #: lower each test case once into the compile-once program IR
-    #: (:mod:`repro.emulator.compiled`) shared by the contract model and
-    #: the speculative CPU; the interpretive per-step decode remains
-    #: available behind ``False`` (bit-identical traces and reports
-    #: either way — the equality tests and the emulation-throughput
-    #: benchmark compare the two)
+    # execution engine referee (test-facing)
+    #: ``True`` (the default) lowers each test case once into the
+    #: compile-once program IR (:mod:`repro.emulator.compiled`), strips
+    #: provably dead flag computation from it
+    #: (:mod:`repro.analysis.deadflags`), and collects contract traces
+    #: battery-batched (:mod:`repro.emulator.battery`). ``False`` runs
+    #: the interpretive reference semantics instead — the referee the
+    #: equality tests and the compiled-vs-interpretive benchmark gate
+    #: compare against; traces and reports are byte-identical either
+    #: way, so this is not a tuning knob
     compile_programs: bool = True
-    #: run the dead-flag elimination pass (:mod:`repro.analysis.deadflags`)
-    #: over each compiled program: flag computation proven dead by
-    #: liveness is skipped. Byte-identical traces, logs and reports
-    #: either way (the pass only replaces handlers whose flag writes
-    #: can never be observed); only effective with ``compile_programs``
-    optimize_dead_flags: bool = True
-    #: run the masked-access fusion pass (:mod:`repro.analysis.fusion`)
-    #: over each compiled program: the §5.1 sandbox-masking ops
-    #: (``AND``/``ADD`` reg, imm feeding address generation) get direct
-    #: register-file specializations. Byte-identical traces, logs and
-    #: reports either way; only effective with ``compile_programs``
-    optimize_masked_access: bool = True
-    #: collect each test case's contract traces battery-batched
-    #: (:mod:`repro.emulator.battery`): one plan dispatch per op per
-    #: input battery, lanes split on divergence. Byte-identical traces,
-    #: logs and reports either way — the per-input loop stays the
-    #: referee and handles every fallback; only effective with
-    #: ``compile_programs``
-    battery_eval: bool = True
 
     # static leak pre-screen (repro.analysis.prescreen): classify each
     # generated test case before any emulation and skip the ones that
@@ -136,15 +120,6 @@ class FuzzerConfig:
     executor_repetitions: int = 3
     executor_warmups: int = 1
     outlier_threshold: int = 1
-    #: collect hardware traces for the test cases of one diversity round
-    #: in a single executor batch (linearization, noise calibration and
-    #: side-channel dispatch amortized across the round) instead of one
-    #: executor call per case. Deterministic campaigns produce the
-    #: identical report either way; timed campaigns (``timeout_seconds``)
-    #: and noise-injected executors always measure case by case (the
-    #: clock must be checked, and the noise RNG stream must not be
-    #: reordered, between test cases)
-    batch_measurements: bool = True
 
     # contract-trace memoization (see repro.core.trace_cache): contract
     # traces are pure functions of (program, input, contract), so repeated

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.isa.assembler import render_program
 from repro.isa.instruction import TestCaseProgram
-from repro.analysis.passes import default_pipeline
+from repro.analysis.deadflags import eliminate_dead_flags
 from repro.analysis.prescreen import (
     PrescreenSoundnessError,
     classify as prescreen_classify,
@@ -140,25 +140,23 @@ class TestingPipeline:
         self._compiled: "OrderedDict[int, Tuple[TestCaseProgram, CompiledProgram]]" = (
             OrderedDict()
         )
-        self._pass_pipeline = default_pipeline(
-            optimize_dead_flags=config.optimize_dead_flags,
-            optimize_masked_access=config.optimize_masked_access,
-        )
 
     def compiled_for(
         self, program: TestCaseProgram
     ) -> Optional[CompiledProgram]:
-        """The compile-once IR of a test case (``None`` when disabled).
+        """The compile-once IR of a test case (``None`` under the
+        interpretive referee, ``config.compile_programs=False``).
 
-        Each distinct program is lowered (and optimized by the pass
-        pipeline) exactly once and the IR is threaded through contract
-        emulation, hardware-trace collection, the priming-swap check and
-        the nesting revalidation. Lowerings live in the process-global
+        Each distinct program is lowered (and stripped of dead flag
+        computation, :mod:`repro.analysis.deadflags`) exactly once and
+        the IR is threaded through contract emulation, hardware-trace
+        collection, the priming-swap check and the nesting
+        revalidation. Lowerings live in the process-global
         :func:`~repro.emulator.compiled.shared_compiled_cache`, keyed by
-        content digest plus the pass configuration — so every pipeline
-        in the process (campaign shard workers and sweep cells run many
-        per worker) reuses one compilation of equal-text programs, and
-        a recycled ``id()`` can never alias a stale entry.
+        content digest — so every pipeline in the process (campaign
+        shard workers and sweep cells run many per worker) reuses one
+        compilation of equal-text programs, and a recycled ``id()`` can
+        never alias a stale entry.
         """
         if not self.config.compile_programs:
             return None
@@ -168,16 +166,10 @@ class TestingPipeline:
             self._compiled.move_to_end(key)
             return entry[1]
         cache = shared_compiled_cache()
-        digest_key = (
-            program_digest(program, self.arch.name),
-            (
-                self.config.optimize_dead_flags,
-                self.config.optimize_masked_access,
-            ),
-        )
+        digest_key = (program_digest(program, self.arch.name),)
         compiled = cache.get(digest_key)
         if compiled is None:
-            compiled = self._pass_pipeline.run(
+            compiled = eliminate_dead_flags(
                 compile_program(program, self.arch)
             ).program
             cache.put(digest_key, compiled)
@@ -200,12 +192,12 @@ class TestingPipeline:
         The program fingerprint is computed once per call (so cache
         lookups cost a hash per input rather than an emulation) and the
         program is compiled once, shared by every input's collection.
-        With ``config.battery_eval`` the whole battery runs through the
+        A compiled program with more than one input runs through the
         group-lockstep engine (:mod:`repro.emulator.battery`) first;
         whenever that engine declines, this falls through to the
         per-input loop, which remains the behavioural referee.
         """
-        if self.config.battery_eval and len(inputs) > 1:
+        if len(inputs) > 1:
             compiled = self.compiled_for(program)
             if compiled is not None:
                 collected = self._collect_battery(compiled, program, inputs)
@@ -611,22 +603,21 @@ class Fuzzer:
 
         ``should_stop`` is an optional zero-argument callable polled
         between measurement batches (at most ``round_size`` test cases
-        apart; every case when batching is off); when it returns True
-        the campaign stops early with ``report.cancelled`` set (the
-        campaign runner's first-violation early-cancel signal).
+        apart; every case when measurement is per case); when it
+        returns True the campaign stops early with ``report.cancelled``
+        set (the campaign runner's first-violation early-cancel signal).
 
-        With ``config.batch_measurements`` (the default) the hardware
-        traces of one diversity round's test cases are collected in a
-        single executor batch. Generation order, analysis order and the
-        round-boundary reconfiguration points are unchanged, so the
-        report is identical to the case-by-case loop (the one corner
-        that can differ: a case whose *hardware* run faults while its
-        contract model would not — the batch skips it before any
-        contract emulation, so only the emulation/cache counters move,
-        never a finding). Timed campaigns (``timeout_seconds``) and
-        noisy executors (an armed :class:`NoiseModel` draws from one
-        RNG stream, which measurement reordering would shift) fall back
-        to per-case measurement.
+        The hardware traces of one diversity round's test cases are
+        collected in a single executor batch. Generation order, analysis
+        order and the round-boundary reconfiguration points are
+        unchanged, so the report is identical to the case-by-case loop
+        (the one corner that can differ: a case whose *hardware* run
+        faults while its contract model would not — the batch skips it
+        before any contract emulation, so only the emulation/cache
+        counters move, never a finding). Timed campaigns
+        (``timeout_seconds``) and noisy executors (an armed
+        :class:`NoiseModel` draws from one RNG stream, which
+        measurement reordering would shift) measure case by case.
         """
         config = self.config
         report = FuzzingReport(coverage=self.coverage)
@@ -640,11 +631,7 @@ class Fuzzer:
         # checks and contract collections) would change its draws.
         batch_limit = (
             max(1, config.round_size)
-            if (
-                config.batch_measurements
-                and config.timeout_seconds is None
-                and self.noise.is_silent
-            )
+            if config.timeout_seconds is None and self.noise.is_silent
             else 1
         )
 

@@ -40,16 +40,13 @@ _RECORD_SUFFIX = ".pkl"
 
 # FuzzerConfig fields that do not influence shard results: the
 # determinism contracts (docs/performance.md, docs/corpus.md) pin that
-# reports are byte-identical across these knobs, and cache/corpus
-# plumbing is side-channel state.  Excluding them means a resume may
-# legally flip e.g. --no-battery-eval without invalidating checkpoints.
+# reports are byte-identical under the interpretive referee, and
+# cache/corpus plumbing is side-channel state.  Excluding them means a
+# resume may legally flip e.g. compile_programs without invalidating
+# checkpoints.
 EXCLUDED_CONFIG_FIELDS = frozenset(
     {
         "compile_programs",
-        "optimize_dead_flags",
-        "optimize_masked_access",
-        "battery_eval",
-        "batch_measurements",
         "contract_trace_cache",
         "trace_cache_entries",
         "trace_cache_dir",

@@ -40,10 +40,11 @@ Replay verdicts (:class:`ReplayResult`):
 ``python -m repro replay --corpus DIR`` drives this as a CLI gate:
 exit 1 on any FAIL/CHANGED, and with ``--strict`` also on any SKIP or
 an empty corpus. :meth:`ReplayReport.report_digest` is a canonical
-digest over the per-entry outcomes, byte-identical across the
-``compile_programs`` / ``battery_eval`` / pass-pipeline knobs — the
-corpus is the fixed external artifact that pins those engines'
-byte-identical contracts between releases.
+digest over the per-entry outcomes, byte-identical between the
+production engine (compiled IR, dead-flag elimination, battery-batched
+contract traces) and its referees (the interpretive semantics behind
+``compile_programs=False``, the per-input loop) — the corpus is the
+fixed external artifact that pins that contract between releases.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ def violation_digest(
     verdict to assembler formatting) and every wall-clock or
     scheduling-dependent counter. Contract traces and hardware traces
     are byte-identical across the compiled/interpretive/battery
-    engines and the IR pass pipeline, so this digest is too — replay
-    compares it across those knobs as an end-to-end determinism check.
+    engines and dead-flag elimination, so this digest is too — replay
+    compares it across those referees as an end-to-end determinism
+    check.
     """
     evidence = {
         "arch": violation.arch_name,
@@ -348,9 +350,9 @@ class ReplayReport:
         """Canonical digest over the deterministic per-entry outcomes.
 
         Sorted by entry file name; covers verdicts and observed
-        violation digests, never wall-clock. Byte-identical across the
-        compiled/interpretive/battery/pass-pipeline knobs — the
-        cross-knob determinism tests compare exactly this string.
+        violation digests, never wall-clock. Byte-identical between the
+        production engine and its referees — the determinism tests
+        compare exactly this string.
         """
         canonical = json.dumps(
             sorted(
@@ -536,10 +538,10 @@ class CounterexampleCorpus:
         """Re-run one entry through the full testing pipeline.
 
         ``config_overrides`` are :class:`FuzzerConfig` field overrides
-        (``battery_eval=False``, ``compile_programs=False``, …) applied
-        on top of the record's coordinates — the knob matrix the
-        determinism tests sweep. Detection must be knob-independent;
-        the verdict digest proves it.
+        (e.g. the ``compile_programs=False`` referee) applied on top of
+        the record's coordinates — the matrix the determinism tests
+        sweep. Detection must be engine-independent; the verdict digest
+        proves it.
         """
         if entry.record is None:
             return ReplayResult(

@@ -397,7 +397,7 @@ class CompiledProgram:
     #: lazily built per-observation-clause step plans of the battery
     #: engine (:mod:`repro.emulator.battery`). Derived state, not
     #: identity: excluded from comparisons, and ``dataclasses.replace``
-    #: (the optimization passes) re-initializes it empty so a program
+    #: (dead-flag elimination) re-initializes it empty so a program
     #: with swapped handlers can never serve a stale plan.
     battery_plans: Dict = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -620,9 +620,10 @@ class CompiledProgramCache:
     :func:`program_digest` instead of object identity lets every
     pipeline in the process reuse the one lowering.
 
-    The key must include every knob that changes the lowered artifact:
-    callers append their optimization-pass configuration to the digest
-    (see ``TestingPipeline.compiled_for``).
+    The key must tell apart every lowering of one program: the
+    pipeline's dead-flag-optimized IR is keyed ``(digest,)`` (see
+    ``TestingPipeline.compiled_for``) and the executor's own lowering
+    ``(digest, ("executor", interpretive))``.
     """
 
     def __init__(self, max_entries: int = 512):

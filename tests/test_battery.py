@@ -14,19 +14,16 @@ tests pin the equality from four directions:
   to model (architectural faults, the step budget);
 - **bookkeeping parity**: ``TestingPipeline`` emulation counters and
   trace-cache statistics (duplicate inputs included) must not move a
-  unit when ``battery_eval`` flips, and ``ContractTraceCache.peek``
-  must observably not mutate stats or LRU order;
-- **the pass pipeline**: masked-access fusion fires on the §5.1 idiom,
-  is gated on the dead-flag proof for x86 ``AND``, and never changes a
-  trace.
+  unit when the battery is forced to decline (the per-input referee),
+  and ``ContractTraceCache.peek`` must observably not mutate stats or
+  LRU order;
+- **the production IR**: the battery over dead-flag-eliminated IR
+  equals the per-input loop over the unoptimized IR.
 """
-
-from dataclasses import replace
 
 import pytest
 
-from repro.analysis.fusion import fuse_masked_access
-from repro.analysis.passes import default_pipeline
+from repro.analysis.deadflags import eliminate_dead_flags
 from repro.arch import architecture_names, get_architecture
 from repro.contracts import get_contract
 from repro.core.config import FuzzerConfig, GeneratorConfig
@@ -117,8 +114,8 @@ def test_battery_matches_nested_speculation(arch_name):
 
 @pytest.mark.parametrize("arch_name", ARCHS)
 def test_battery_matches_on_pass_optimized_ir(arch_name):
-    """The production shape: battery over pipeline-optimized IR equals
-    the per-input loop over the unoptimized IR."""
+    """The production shape: battery over dead-flag-eliminated IR
+    equals the per-input loop over the unoptimized IR."""
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
     contract = get_contract("CT-COND")
@@ -127,7 +124,7 @@ def test_battery_matches_on_pass_optimized_ir(arch_name):
     for _ in range(3):
         program = generator.generate()
         compiled = compile_program(program, arch)
-        optimized = default_pipeline().run(compiled).program
+        optimized = eliminate_dead_flags(compiled).program
         reference = _per_input(
             contract, program, inputs, layout, arch, compiled
         )
@@ -301,60 +298,70 @@ def test_shared_scratch_stays_empty():
 # -- pipeline bookkeeping parity ----------------------------------------------
 
 
-def _pipeline_pair(arch_name, **overrides):
-    base = FuzzerConfig(arch=arch_name, **overrides)
-    on = TestingPipeline(base)
-    off = TestingPipeline(replace(base, battery_eval=False))
-    assert on.config.battery_eval and not off.config.battery_eval
-    return on, off
+def _collect(pipeline, program, batteries):
+    """Collect every battery in turn; the traces and logs of each, plus
+    the counters the parity tests compare."""
+    results = [
+        pipeline.collect_contract_traces(program, inputs)
+        for inputs in batteries
+    ]
+    cache = pipeline.trace_cache
+    stats = None if cache is None else (cache.stats.hits, cache.stats.misses)
+    return (
+        [(ctraces, [log.entries for log in logs]) for ctraces, logs in results],
+        pipeline.contract_emulations,
+        stats,
+    )
+
+
+def _battery_vs_referee(arch_name, force_battery_fallback, program,
+                        batteries, **overrides):
+    """The same collections through a battery pipeline, then through a
+    fresh pipeline whose batteries all decline (the per-input loop)."""
+    config = FuzzerConfig(arch=arch_name, **overrides)
+    battery_side = _collect(TestingPipeline(config), program, batteries)
+    force_battery_fallback()
+    referee_side = _collect(TestingPipeline(config), program, batteries)
+    return battery_side, referee_side
 
 
 @pytest.mark.parametrize("arch_name", ARCHS)
-def test_pipeline_counter_parity_without_cache(arch_name):
+def test_pipeline_counter_parity_without_cache(arch_name,
+                                               force_battery_fallback):
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
-    on, off = _pipeline_pair(arch_name)
     program = _generator(arch, layout, seed=51).generate()
     inputs = _inputs(arch, layout, seed=52, count=8)
-    result_on = on.collect_contract_traces(program, inputs)
-    result_off = off.collect_contract_traces(program, inputs)
-    assert result_on[0] == result_off[0]
-    assert [log.entries for log in result_on[1]] == [
-        log.entries for log in result_off[1]
-    ]
-    assert on.contract_emulations == off.contract_emulations == len(inputs)
+    battery_side, referee_side = _battery_vs_referee(
+        arch_name, force_battery_fallback, program, [inputs]
+    )
+    assert battery_side == referee_side
+    assert battery_side[1] == len(inputs)
 
 
 @pytest.mark.parametrize("arch_name", ARCHS)
-def test_pipeline_cache_parity_with_duplicates(arch_name):
-    """Hit/miss stats, emulation counters and cached results must be
-    identical with ``battery_eval`` flipped — including a battery that
-    contains the same input twice (first occurrence misses and
-    publishes, second hits) and a warm second collection."""
+def test_pipeline_cache_parity_with_duplicates(arch_name,
+                                               force_battery_fallback):
+    """Hit/miss stats, emulation counters and cached results must equal
+    the per-input referee's — including a battery that contains the
+    same input twice (first occurrence misses and publishes, second
+    hits) and a warm second collection."""
     arch = get_architecture(arch_name)
     layout = SandboxLayout()
-    on, off = _pipeline_pair(arch_name, contract_trace_cache=True)
     program = _generator(arch, layout, seed=61).generate()
     distinct = _inputs(arch, layout, seed=62, count=6)
     inputs = distinct + [distinct[0], distinct[3]]
 
-    result_on = on.collect_contract_traces(program, inputs)
-    result_off = off.collect_contract_traces(program, inputs)
-    assert result_on[0] == result_off[0]
-    assert on.contract_emulations == off.contract_emulations == len(distinct)
-    assert on.trace_cache.stats.hits == off.trace_cache.stats.hits == 2
-    assert (
-        on.trace_cache.stats.misses
-        == off.trace_cache.stats.misses
-        == len(distinct)
+    # cold pass, then a warm pass in which every lane hits
+    battery_side, referee_side = _battery_vs_referee(
+        arch_name, force_battery_fallback, program, [inputs, inputs],
+        contract_trace_cache=True,
     )
-
-    # warm pass: every lane hits, no new emulation on either side
-    warm_on = on.collect_contract_traces(program, inputs)
-    warm_off = off.collect_contract_traces(program, inputs)
-    assert warm_on[0] == warm_off[0] == result_on[0]
-    assert on.contract_emulations == off.contract_emulations == len(distinct)
-    assert on.trace_cache.stats.hits == off.trace_cache.stats.hits
+    assert battery_side == referee_side
+    results, emulations, (hits, misses) = battery_side
+    assert results[0] == results[1]
+    assert emulations == misses == len(distinct)
+    assert hits == 2 + len(inputs)
 
 
 def test_peek_does_not_mutate_stats_or_recency():
@@ -426,70 +433,3 @@ def test_input_memo_shares_identical_batteries():
     second = make()
     assert first == second
     assert all(a is b for a, b in zip(first, second))
-
-
-# -- masked-access fusion -----------------------------------------------------
-
-
-def _fusible_program(arch_name):
-    """The §5.1 idiom: mask a register, use it as an address offset. The
-    trailing compare redefines the x86 flags so the AND's writes are
-    provably dead (the fusion precondition)."""
-    if arch_name == "x86_64":
-        return parse_program(
-            "AND RAX, 4032\n"
-            "MOV RBX, qword ptr [R14 + RAX]\n"
-            "CMP RBX, RBX\n"
-            "NOP"
-        )
-    arch = get_architecture(arch_name)
-    return arch.parse_program(
-        "AND X1, X1, #4032\n"
-        "LDR X2, [X27, X1]\n"
-        "CMP X2, X2\n"
-        "NOP"
-    )
-
-
-@pytest.mark.parametrize("arch_name", ARCHS)
-def test_fusion_fires_on_masked_access_idiom(arch_name):
-    arch = get_architecture(arch_name)
-    program = _fusible_program(arch_name)
-    compiled = compile_program(program, arch)
-    report = default_pipeline().run(compiled)
-    assert 0 in report.applied("masked-access-fusion")
-
-
-@pytest.mark.parametrize("arch_name", ARCHS)
-def test_fusion_preserves_traces(arch_name):
-    """Fused handlers are specializations, not approximations: traces
-    and logs match the unoptimized IR on a randomized battery."""
-    arch = get_architecture(arch_name)
-    layout = SandboxLayout()
-    contract = get_contract("CT-COND")
-    program = _fusible_program(arch_name)
-    compiled = compile_program(program, arch)
-    optimized = default_pipeline().run(compiled).program
-    inputs = _inputs(arch, layout, seed=91, count=8)
-    reference = _per_input(contract, program, inputs, layout, arch, compiled)
-    fused = _per_input(contract, program, inputs, layout, arch, optimized)
-    for (trace_a, log_a), (trace_b, log_b) in zip(reference, fused):
-        assert trace_a == trace_b
-        assert log_a.entries == log_b.entries
-
-
-def test_x86_fusion_requires_dead_flag_proof():
-    """An x86 AND whose flags are live at exit must not fuse: without
-    the dead-flag proof the specialized handler would skip observable
-    flag writes."""
-    arch = get_architecture("x86_64")
-    # no later flag write: the AND's flags are live at program exit
-    program = parse_program(
-        "AND RAX, 4032\nMOV RBX, qword ptr [R14 + RAX]\nNOP"
-    )
-    compiled = compile_program(program, arch)
-    report = fuse_masked_access(compiled, dead_flag_pcs=frozenset())
-    assert report.fused == ()
-    assert default_pipeline().run(compiled).applied(
-        "masked-access-fusion"
-    ) == ()

@@ -322,11 +322,11 @@ class TestJournal:
             self.run_journaled(tmp_path, resume=True, num_test_cases=17)
 
     def test_engine_knobs_do_not_invalidate_checkpoints(self, tmp_path):
-        # byte-identity knobs are excluded from the spec digest, so a
-        # resume may legally flip them (docs/performance.md)
+        # the interpretive referee is excluded from the spec digest, so
+        # a resume may legally flip it (docs/performance.md)
         first = self.run_journaled(tmp_path)
         resumed = self.run_journaled(
-            tmp_path, resume=True, battery_eval=False
+            tmp_path, resume=True, compile_programs=False
         )
         assert resumed.report_digest() == first.report_digest()
 

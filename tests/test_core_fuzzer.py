@@ -206,9 +206,13 @@ class TestFalsePositiveFilters:
 
 
 class TestBatchedMeasurement:
-    """The round-batched measurement path (config.batch_measurements)
-    must be invisible in the report: identical generation order,
-    analysis order, counters and findings."""
+    """The round-batched measurement path must be invisible in the
+    report: identical generation order, analysis order, counters and
+    findings. Its referee is the same config with a timeout far beyond
+    the run, which measures case by case."""
+
+    #: a budget no test run gets near: it only forces per-case measurement
+    REFEREE_TIMEOUT = 1e9
 
     REPORT_FIELDS = (
         "test_cases",
@@ -227,8 +231,10 @@ class TestBatchedMeasurement:
     def _compare(self, config):
         from dataclasses import replace
 
-        batched = Fuzzer(replace(config, batch_measurements=True)).run()
-        sequential = Fuzzer(replace(config, batch_measurements=False)).run()
+        batched = Fuzzer(config).run()
+        sequential = Fuzzer(
+            replace(config, timeout_seconds=self.REFEREE_TIMEOUT)
+        ).run()
         for field in self.REPORT_FIELDS:
             assert getattr(batched, field) == getattr(sequential, field), field
         assert batched.coverage.covered == sequential.coverage.covered
@@ -309,8 +315,8 @@ class TestBatchedMeasurement:
     def test_armed_noise_forces_per_case_measurement(self):
         """An armed noise model draws from one RNG stream; batching
         would reorder measurements around swap checks and faulting
-        cases, so the loop falls back to per-case — and the reports of
-        both batch_measurements settings stay identical."""
+        cases, so the loop falls back to per-case — and the report
+        equals the timed referee's, which measures per case too."""
         from dataclasses import replace
 
         from repro.executor.noise import NoiseModel
@@ -321,9 +327,9 @@ class TestBatchedMeasurement:
             num_test_cases=15,
             inputs_per_test_case=8,
         )
-        batched = Fuzzer(replace(config, batch_measurements=True), noise).run()
+        batched = Fuzzer(config, noise).run()
         sequential = Fuzzer(
-            replace(config, batch_measurements=False), noise
+            replace(config, timeout_seconds=self.REFEREE_TIMEOUT), noise
         ).run()
         assert batched.test_cases == sequential.test_cases
         assert batched.found == sequential.found

@@ -5,10 +5,11 @@ backends, the storage discipline (atomic publish, digest dedup,
 schema-version rejection, torn-file degradation to SKIP), the replay
 verdict semantics, the persistence hooks (Fuzzer.run and
 Postprocessor.minimize), and — against the checked-in ``corpus/seed``
-artifact — the cross-knob determinism matrix: the replay report digest
-must be byte-identical across the pass-pipeline and battery-engine
-knobs (the PR 5-7 contracts, pinned by a fixed external artifact
-instead of self-parity).
+artifact — the determinism matrix: the replay report digest must be
+byte-identical between the production engine and its referees (the
+interpretive semantics, the per-input loop, the unoptimized IR), with
+and without the trace cache — pinned by a fixed external artifact
+instead of self-parity.
 """
 
 import functools
@@ -270,8 +271,7 @@ class TestPersistenceHooks:
 
 class TestKnobParity:
     """Replay is engine-independent: per-input vs battery, compiled vs
-    interpretive — same verdicts, same digests (ISSUE satellite on
-    --no-battery-eval / compile_programs=False parity)."""
+    interpretive — same verdicts, same digests."""
 
     @pytest.fixture(scope="class")
     def small_corpus(self, tmp_path_factory):
@@ -283,27 +283,29 @@ class TestKnobParity:
         return corpus
 
     @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"battery_eval": False},
-            {"compile_programs": False},
-            {"battery_eval": False, "compile_programs": False},
-        ],
+        "compiled, battery",
+        [(True, False), (False, True), (False, False)],
         ids=["no-battery", "interpretive", "interpretive-no-battery"],
     )
-    def test_digest_parity(self, small_corpus, overrides):
+    def test_digest_parity(self, small_corpus, force_battery_fallback,
+                           compiled, battery):
         baseline = small_corpus.replay()
         assert baseline.strict_ok()
-        knobbed = small_corpus.replay(config_overrides=overrides)
+        if not battery:
+            force_battery_fallback()
+        knobbed = small_corpus.replay(
+            config_overrides={"compile_programs": compiled}
+        )
         assert knobbed.strict_ok()
         assert knobbed.report_digest() == baseline.report_digest()
 
 
 class TestSeedCorpusDeterminismMatrix:
     """The checked-in corpus/seed is the fixed external artifact that
-    pins the PR 6-7 byte-identical pass-pipeline contract: the replay
-    report digest must not move across optimize_dead_flags x
-    optimize_masked_access x battery_eval."""
+    pins the byte-identical engine contract: the replay report digest
+    must not move across dead-flag elimination (or its identity
+    referee) x the contract-trace cache x the battery engine (or its
+    per-input referee)."""
 
     @pytest.fixture(scope="class")
     def seed_corpus(self):
@@ -326,18 +328,18 @@ class TestSeedCorpusDeterminismMatrix:
         assert {"x86_64", "aarch64"} <= arches
 
     @pytest.mark.parametrize("dead_flags", [True, False])
-    @pytest.mark.parametrize("masked_access", [True, False])
+    @pytest.mark.parametrize("cache", [True, False])
     @pytest.mark.parametrize("battery", [True, False])
     def test_digest_is_knob_invariant(
-        self, seed_corpus, baseline_digest, dead_flags, masked_access,
-        battery,
+        self, seed_corpus, baseline_digest, disable_dead_flags,
+        force_battery_fallback, dead_flags, cache, battery,
     ):
+        if not dead_flags:
+            disable_dead_flags()
+        if not battery:
+            force_battery_fallback()
         report = seed_corpus.replay(
-            config_overrides={
-                "optimize_dead_flags": dead_flags,
-                "optimize_masked_access": masked_access,
-                "battery_eval": battery,
-            }
+            config_overrides={"contract_trace_cache": cache}
         )
         assert report.strict_ok(), [r.detail for r in report.results]
         assert report.report_digest() == baseline_digest

@@ -689,6 +689,55 @@ class TestStateRecovery:
         finally:
             service.shutdown()
 
+    def test_snapshots_with_retired_engine_knobs_recover(self, tmp_path):
+        """Snapshots written while EngineOptions still carried the four
+        engine knobs recover — a terminal job as history, an interrupted
+        one resumed to the uninterrupted digest — while a submit with an
+        unknown option is still rejected."""
+        journal_dir = str(tmp_path / "journal")
+        options = quick_options()
+        baseline = api.run_campaign(
+            options, workers=1, shards=2, journal_dir=journal_dir
+        )
+        spec = JobSpec(
+            kind="campaign", options=options, workers=1, shards=2,
+            journal_dir=journal_dir,
+        ).to_dict()
+        spec["options"].update(
+            battery_eval=True, masked_fusion=True, dead_flags=True,
+            compile_programs=True,
+        )
+        report = {"digest": baseline.report_digest()}
+        state = ServiceState(str(tmp_path / "state"))
+        for job_id, job_state in (("job-0001-0000dead", "done"),
+                                  ("job-0002-0000beef", "running")):
+            assert state.save_job(
+                {
+                    "job_id": job_id,
+                    "spec": spec,
+                    "state": job_state,
+                    "submitted_at": 0.0,
+                    "events": [{"event": "state", "state": job_state}],
+                    "violations": 0,
+                    "error": None,
+                    "report": report if job_state == "done" else None,
+                }
+            )
+
+        service = CampaignService(state_dir=state.directory)
+        try:
+            assert sorted(service.recovered_jobs) == [
+                "job-0001-0000dead", "job-0002-0000beef",
+            ]
+            assert service.status("job-0001-0000dead")["report"] == report
+            _events, status = _drain(service, "job-0002-0000beef")
+            assert status["state"] == "done"
+            assert status["report"]["digest"] == baseline.report_digest()
+            with pytest.raises(ValueError, match="unknown EngineOptions"):
+                service.submit({"kind": "fuzz", "options": {"bogus": 1}})
+        finally:
+            service.shutdown()
+
     def test_state_write_faults_are_counted_not_fatal(self, tmp_path):
         state_dir = str(tmp_path / "state")
         service = CampaignService(state_dir=state_dir)

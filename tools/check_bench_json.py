@@ -179,7 +179,7 @@ def _check_emulation_throughput(payload) -> List[str]:
     if payload.get("reports_equal") is not True:
         errors.append(
             "emulation_throughput: reports_equal must be true (the "
-            "compile_programs knob changed a fuzzing report)"
+            "compiled and interpretive fuzzing reports differ)"
         )
     battery_ratio = payload.get("battery_ratio")
     if not isinstance(battery_ratio, (int, float)) or battery_ratio < 1.5:
@@ -195,7 +195,7 @@ def _check_emulation_throughput(payload) -> List[str]:
     if payload.get("battery_reports_equal") is not True:
         errors.append(
             "emulation_throughput: battery_reports_equal must be true "
-            "(the battery_eval knob changed a fuzzing report)"
+            "(the forced per-input fallback changed a fuzzing report)"
         )
     return errors
 
