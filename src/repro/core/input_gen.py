@@ -11,22 +11,12 @@ range, exactly the trade-off the paper describes.
 
 from __future__ import annotations
 
+import functools
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.emulator.state import InputData, SandboxLayout
-
-#: process-global memo of generated inputs. An input's content is a pure
-#: function of (input seed, entropy, register pool, layout, flag
-#: handling) — everything in the memo key — and :class:`InputData` is
-#: frozen, so sharing instances is safe. Deterministic campaign shards
-#: and sweep cells regenerate identical batteries (same config seeds) in
-#: one worker process; the memo lets them share the InputData objects
-#: instead of re-deriving register files and sandbox images per cell.
-_INPUT_MEMO: "OrderedDict[tuple, InputData]" = OrderedDict()
-_INPUT_MEMO_CAPACITY = 4096
 
 
 @dataclass
@@ -65,29 +55,36 @@ class InputGenerator:
         masked = raw & ((1 << self.entropy_bits) - 1)
         return masked << 6
 
+    def _sandbox_image(self, rng: random.Random) -> bytes:
+        """The sandbox memory: one masked value per 8-byte word.
+
+        Equal to one :meth:`_value` draw per word, in address order, but
+        drawn at once: ``getrandbits(32 * words)`` yields the same 32-bit
+        outputs, least significant first. Each 4-byte output is widened
+        into an 8-byte little-endian lane, and every lane is masked and
+        shifted in one big-integer operation; a value is below 2**38, so
+        it never crosses into the next lane.
+        """
+        words = self.layout.size // 8
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        wide = bytearray(8 * words)
+        for k in range(4):
+            wide[k::8] = raw[k::4]
+        lanes = int.from_bytes(wide, "little") & _lane_mask(
+            self.entropy_bits, words
+        )
+        return (lanes << 6).to_bytes(8 * words, "little")
+
     def generate_one(self, input_seed: Optional[int] = None) -> InputData:
         """Generate a single input (optionally from an explicit seed).
 
         The generator's own PRNG always advances (the input-seed draw
-        comes first), so determinism is untouched by the memo below:
-        content is re-derived only the first time a (seed, entropy,
-        registers, layout, flags) combination is seen in this process.
+        comes first); the input's content is a pure function of that
+        seed and the generator's configuration.
         """
         seed = (
             input_seed if input_seed is not None else self._rng.getrandbits(32)
         )
-        memo_key = (
-            seed,
-            self.entropy_bits,
-            tuple(self.registers),
-            self.layout,
-            self.randomize_flags,
-            tuple(self.flag_bits),
-        )
-        cached = _INPUT_MEMO.get(memo_key)
-        if cached is not None:
-            _INPUT_MEMO.move_to_end(memo_key)
-            return cached
         rng = random.Random(seed)
         registers = {name: self._value(rng) for name in self.registers}
         flags = (
@@ -95,23 +92,23 @@ class InputGenerator:
             if self.randomize_flags
             else {}
         )
-        memory = bytearray(self.layout.size)
-        for offset in range(0, self.layout.size, 8):
-            memory[offset : offset + 8] = self._value(rng).to_bytes(8, "little")
-        input_data = InputData(
+        return InputData(
             registers=registers,
             flags=flags,
-            memory=bytes(memory),
+            memory=self._sandbox_image(rng),
             seed=seed,
         )
-        _INPUT_MEMO[memo_key] = input_data
-        while len(_INPUT_MEMO) > _INPUT_MEMO_CAPACITY:
-            _INPUT_MEMO.popitem(last=False)
-        return input_data
 
     def generate(self, count: int) -> List[InputData]:
         """Generate a priming sequence of ``count`` pseudorandom inputs."""
         return [self.generate_one() for _ in range(count)]
+
+
+@functools.lru_cache(maxsize=64)
+def _lane_mask(entropy_bits: int, words: int) -> int:
+    """``words`` 64-bit little-endian lanes, each holding the entropy mask."""
+    lane = ((1 << entropy_bits) - 1).to_bytes(8, "little")
+    return int.from_bytes(lane * words, "little")
 
 
 def effectiveness(class_sizes: Sequence[int]) -> float:

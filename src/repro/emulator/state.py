@@ -113,8 +113,13 @@ class ArchState:
         self.arch = arch or _default_architecture()
         self.layout = layout or SandboxLayout()
         regfile = self.arch.registers
-        self.registers: Dict[str, int] = {name: 0 for name in regfile.gpr_names}
-        self.flags: Dict[str, bool] = {flag: False for flag in regfile.flag_bits}
+        #: register views: name -> (canonical register, width in bits)
+        self._views = regfile.views
+        #: the cleared register file and flags load_input starts from
+        self._cleared_registers = dict.fromkeys(regfile.gpr_names, 0)
+        self._cleared_flags = dict.fromkeys(regfile.flag_bits, False)
+        self.registers: Dict[str, int] = dict(self._cleared_registers)
+        self.flags: Dict[str, bool] = dict(self._cleared_flags)
         self.memory = bytearray(self.layout.size)
         self._reset_fixed_registers()
 
@@ -126,20 +131,19 @@ class ArchState:
 
     def load_input(self, input_data: InputData) -> None:
         """Reset the state and apply an input (paper §5.3 step 2)."""
-        for name in self.arch.registers.gpr_names:
-            self.registers[name] = 0
-        for flag in self.arch.registers.flag_bits:
-            self.flags[flag] = False
+        self.registers.update(self._cleared_registers)
+        flags = self.flags
+        flags.update(self._cleared_flags)
         for name, value in input_data.registers.items():
             self.write_register(name, value)
         for flag, value in input_data.flags.items():
-            if flag not in self.flags:
+            if flag not in flags:
                 raise KeyError(f"unknown flag: {flag!r}")
-            self.flags[flag] = bool(value)
-        data = input_data.memory[: self.layout.size]
+            flags[flag] = bool(value)
+        size = self.layout.size
+        data = input_data.memory[:size]
         self.memory[: len(data)] = data
-        for i in range(len(data), self.layout.size):
-            self.memory[i] = 0
+        self.memory[len(data) :] = bytes(size - len(data))
         self._reset_fixed_registers()
 
     # -- registers ---------------------------------------------------------
@@ -154,9 +158,10 @@ class ArchState:
     def write_register(self, name: str, value: int) -> None:
         """Write a register view: 64-bit writes replace, 32-bit writes
         zero-extend (x86-64 and AArch64 agree), narrower views merge."""
-        regfile = self.arch.registers
-        canonical = regfile.canonical(name)
-        width = regfile.width(name)
+        try:
+            canonical, width = self._views[name.upper()]
+        except KeyError:
+            raise ValueError(f"unknown register: {name!r}") from None
         value &= _WIDTH_MASKS[width]
         if width >= 32:
             # 64-bit writes replace; 32-bit writes zero the upper half.

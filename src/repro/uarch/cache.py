@@ -4,6 +4,12 @@ The cache is the side channel: the executor mounts Prime+Probe /
 Flush+Reload / Evict+Reload attacks against it (paper §5.3). Attacker
 lines are modelled as negative tags so they can never collide with victim
 lines.
+
+Prime+Probe costs O(sets the victim changed), not O(all sets): the cache
+tracks which sets ``access`` changed since the last ``prime()``. Every
+other set still holds exactly its attacker lines, so ``prime()`` need not
+refill it and ``probe()`` would not report it. ``flush_line`` needs no
+tracking: a victim line can only be present in a set already accessed.
 """
 
 from __future__ import annotations
@@ -24,6 +30,14 @@ class L1DCache:
         self.ways = ways
         self.line_size = line_size
         self._sets: List[List[int]] = [[] for _ in range(num_sets)]
+        #: the attacker's lines of each set, built once per cache
+        self._attacker_lines: List[List[int]] = [
+            [-(1 + index * ways + way) for way in range(ways)]
+            for index in range(num_sets)
+        ]
+        #: indices of the sets changed since the last prime(); every set
+        #: counts as changed until the first one
+        self._dirty: Set[int] = set(range(num_sets))
 
     def set_index(self, address: int) -> int:
         """The cache set an address maps to."""
@@ -38,6 +52,7 @@ class L1DCache:
         index = self.set_index(address)
         tag = self.tag(address)
         lines = self._sets[index]
+        self._dirty.add(index)
         if tag in lines:
             lines.remove(tag)
             lines.insert(0, tag)
@@ -62,24 +77,32 @@ class L1DCache:
     def flush_all(self) -> None:
         """WBINVD-style full flush."""
         self._sets = [[] for _ in range(self.num_sets)]
+        self._dirty = set(range(self.num_sets))
 
     # -- attacker primitives --------------------------------------------------
 
     def prime(self) -> None:
         """Prime+Probe step 1: fill every way of every set with attacker
-        lines. Attacker tags are negative so they never alias victim lines."""
-        for index in range(self.num_sets):
-            self._sets[index] = [
-                -(1 + index * self.ways + way) for way in range(self.ways)
-            ]
+        lines. Attacker tags are negative so they never alias victim lines.
+        Only the sets changed since the last prime need refilling."""
+        sets = self._sets
+        attacker_lines = self._attacker_lines
+        for index in self._dirty:
+            sets[index] = attacker_lines[index][:]
+        self._dirty.clear()
 
     def probe(self) -> Set[int]:
         """Prime+Probe step 2: sets where at least one attacker line was
-        evicted, i.e. sets the victim touched."""
+        evicted, i.e. sets the victim touched. A set unchanged since the
+        last prime still holds all its attacker lines, so only the
+        changed sets are scanned, in ascending order as a full scan
+        would."""
         touched: Set[int] = set()
-        for index, lines in enumerate(self._sets):
-            attacker_lines = sum(1 for tag in lines if tag < 0)
-            if attacker_lines < self.ways:
+        sets = self._sets
+        ways = self.ways
+        for index in sorted(self._dirty):
+            attacker_lines = sum(1 for tag in sets[index] if tag < 0)
+            if attacker_lines < ways:
                 touched.add(index)
         return touched
 

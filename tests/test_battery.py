@@ -413,23 +413,3 @@ def test_compiled_ir_shared_across_pipelines():
     assert second.compiled_for(clone) is compiled
     assert shared_compiled_cache().hits > hits_before
 
-
-def test_input_memo_shares_identical_batteries():
-    """Two generators with the same configuration produce not just equal
-    but *identical* InputData objects (the process-global memo), and the
-    memo never perturbs the generated sequence."""
-    arch = get_architecture("x86_64")
-    layout = SandboxLayout()
-
-    def make():
-        return InputGenerator(
-            seed=81,
-            layout=layout,
-            registers=arch.default_register_pool,
-            flag_bits=arch.registers.flag_bits,
-        ).generate(5)
-
-    first = make()
-    second = make()
-    assert first == second
-    assert all(a is b for a, b in zip(first, second))

@@ -34,12 +34,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import queue
 import re
-import select
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 sys.path.insert(
@@ -144,6 +145,17 @@ SERVE_RESULT_TIMEOUT = 600.0
 _LISTENING = re.compile(r"listening on ([0-9.]+):(\d+)")
 
 
+def _pump_lines(stream, lines: "queue.Queue[str]") -> None:
+    """Forward every line of ``stream`` into ``lines``; ``""`` marks EOF.
+
+    One reader owns the pipe, so a line that arrived in the same read as
+    an earlier one is never stranded in a buffer that a ``select()`` on
+    the file descriptor cannot see."""
+    for line in stream:
+        lines.put(line)
+    lines.put("")
+
+
 def start_serve(state_dir: str):
     """Start ``serve --state-dir`` in its own process group; return
     ``(process, host, port, recovered_job_ids)`` once it is listening."""
@@ -161,11 +173,23 @@ def start_serve(state_dir: str):
         env=env,
         start_new_session=True,  # its own group: job workers die too
     )
+    lines: "queue.Queue[str]" = queue.Queue()
+    threading.Thread(
+        target=_pump_lines, args=(process.stdout, lines), daemon=True
+    ).start()
+
+    def next_line(until: float):
+        """The next output line; ``""`` at EOF, None once ``until`` passed."""
+        try:
+            return lines.get(timeout=max(0.0, until - time.monotonic()))
+        except queue.Empty:
+            return None
+
     deadline = time.monotonic() + SERVE_READY_SECONDS
-    host, port = None, None
-    recovered = []
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
+    while True:
+        line = next_line(deadline)
+        if line is None:
+            raise RuntimeError("serve never printed its listening address")
         if not line:
             raise RuntimeError("serve exited before listening")
         sys.stdout.write(f"  serve: {line}")
@@ -173,15 +197,11 @@ def start_serve(state_dir: str):
         if match:
             host, port = match.group(1), int(match.group(2))
             break
-    if host is None:
-        raise RuntimeError("serve never printed its listening address")
-    # the recovery line (if any) follows immediately; poll briefly
+    # the recovery line (if any) follows immediately; wait briefly
+    recovered = []
     poll_until = time.monotonic() + 2.0
-    while time.monotonic() < poll_until:
-        ready, _, _ = select.select([process.stdout], [], [], 0.1)
-        if not ready:
-            continue
-        line = process.stdout.readline()
+    while True:
+        line = next_line(poll_until)
         if not line:
             break
         sys.stdout.write(f"  serve: {line}")
